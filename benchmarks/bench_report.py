@@ -6,9 +6,8 @@ Measures the run engine and the sweep driver and writes ``BENCH_kernel.json``
 * kernel step throughput on the quorum-MR micro workload, in both trace
   modes (``"full"`` and ``"metrics"``), plus the metrics/full speedup;
 * with ``--batch``, the batched kernel (``repro.kernel.batch``) over 256
-  quorum-MR lanes against the same lanes run one ``System`` at a time —
-  numpy and pure-python control planes benched separately (the ``batch``
-  section; see docs/performance.md for how to read it);
+  quorum-MR lanes against the same lanes run one ``System`` at a time
+  (the ``batch`` section; see docs/performance.md for how to read it);
 * wall time of each EXP-1..EXP-9 sweep at its quick parameterization;
 * one serial-vs-parallel sweep comparison (``jobs=1`` against ``--jobs N``)
   with the observed speedup.  On single-CPU machines the honest number is
@@ -156,28 +155,21 @@ def _serial_lanes(specs) -> int:
     return total
 
 
-def _batched_lanes(specs, use_numpy) -> int:
+def _batched_lanes(specs) -> int:
     from repro.kernel.batch import BatchSystem
 
-    results = BatchSystem(specs, use_numpy=use_numpy).run()
+    results = BatchSystem(specs).run()
     return sum(r.total_steps for r in results)
 
 
 def bench_batch(repeats: int) -> Dict[str, Any]:
     """The batched kernel vs one-`System.run()`-at-a-time, same 256 lanes.
 
-    All three modes execute bit-identical runs (the oracle suite in
+    Both modes execute bit-identical runs (the oracle suite in
     ``tests/kernel/test_batch.py`` proves it), so steps/sec is the whole
-    story.  The numpy/pure-python split is benched separately because the
-    control plane differs; ``speedup_vs_serial`` of the best available
-    mode is what the CI gate watches.
+    story.  ``speedup_vs_serial`` of the ``pure_python`` (batched) mode is
+    what the CI gate watches.
     """
-    try:
-        import numpy  # noqa: F401 -- availability probe only
-        have_numpy = True
-    except ImportError:
-        have_numpy = False
-
     specs = _batch_specs()
     total_steps = _serial_lanes(specs)  # warm-up; also the step count
     out: Dict[str, Any] = {
@@ -196,19 +188,15 @@ def bench_batch(repeats: int) -> Dict[str, Any]:
         "best_ms": round(serial_best * 1e3, 3),
         "steps_per_sec": round(total_steps / serial_best),
     }
-    modes = [("pure_python", False)] + ([("numpy", True)] if have_numpy else [])
-    for label, use_numpy in modes:
-        _batched_lanes(specs, use_numpy)  # warm up
-        best = min(
-            _timed(_batched_lanes, specs, use_numpy) for _ in range(repeats)
-        )
-        out[label] = {
-            "best_ms": round(best * 1e3, 3),
-            "steps_per_sec": round(total_steps / best),
-            "speedup_vs_serial": round(serial_best / best, 3),
-        }
-    out["primary_mode"] = "numpy" if have_numpy else "pure_python"
-    out["speedup"] = out[out["primary_mode"]]["speedup_vs_serial"]
+    _batched_lanes(specs)  # warm up
+    best = min(_timed(_batched_lanes, specs) for _ in range(repeats))
+    out["pure_python"] = {
+        "best_ms": round(best * 1e3, 3),
+        "steps_per_sec": round(total_steps / best),
+        "speedup_vs_serial": round(serial_best / best, 3),
+    }
+    out["primary_mode"] = "pure_python"
+    out["speedup"] = out["pure_python"]["speedup_vs_serial"]
     return out
 
 

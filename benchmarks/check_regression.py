@@ -9,10 +9,11 @@ they run at quick parameterizations where noise swamps small shifts; the
 steps/sec micro-benchmark is the stable signal.
 
 When the new report carries a ``batch`` section (``bench_report.py
---batch``), the batched kernel is gated too: its primary-mode aggregate
-throughput must not fall below the serial engine measured in the same run
-(speedup >= 1), and must not drop more than ``--threshold`` percent below
-the committed baseline's batch throughput.
+--batch``), the batched kernel is gated too: its ``primary_mode``
+(default ``pure_python``) aggregate throughput must not fall below the
+serial engine measured in the same run (speedup >= 1), and must not
+drop more than ``--threshold`` percent below the committed baseline's
+batch throughput.
 
 When it carries an ``obs`` section, the tracing-*off* throughput is gated
 at the same threshold (against the baseline's own ``obs.off`` when
@@ -379,7 +380,7 @@ def main(argv=None) -> int:
 
     if "batch" in new:
         batch = new["batch"]
-        primary_mode = batch.get("primary_mode", "numpy")
+        primary_mode = batch.get("primary_mode", "pure_python")
         primary = batch[primary_mode]
         speedup = primary["speedup_vs_serial"]
         status = "FAIL" if speedup < 1.0 else "ok"

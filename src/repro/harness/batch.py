@@ -116,10 +116,7 @@ def _plan_run_consensus_algorithm(kwargs: Dict[str, Any]) -> Optional[BatchPlan]
     return BatchPlan(spec=spec, post=lambda result: judge_consensus(result, proposals))
 
 
-def execute_batched(
-    tasks: Sequence[Any],
-    use_numpy: Optional[bool] = None,
-) -> Tuple[List[Any], List[int]]:
+def execute_batched(tasks: Sequence[Any]) -> Tuple[List[Any], List[int]]:
     """Run every plannable task in ``tasks`` through one batch engine.
 
     Returns ``(results, unplanned)``: ``results`` holds finished values at
@@ -131,7 +128,7 @@ def execute_batched(
     unplanned = [i for i, plan in enumerate(plans) if plan is None]
     planned = [i for i, plan in enumerate(plans) if plan is not None]
     if planned:
-        engine = BatchSystem([plans[i].spec for i in planned], use_numpy=use_numpy)
+        engine = BatchSystem([plans[i].spec for i in planned])
         for i, run_result in zip(planned, engine.run()):
             results[i] = plans[i].post(run_result)
     return results, unplanned

@@ -1,10 +1,10 @@
 """Batched multi-run engine: hundreds of independent runs per process.
 
-Sweeps, the chaos fuzzer and extraction sampling all execute many
-*independent* runs — same shape, different seeds or case specs.  The
-interpreted :class:`~repro.kernel.system.System` pays per-step dispatch
-costs (policy objects, coroutine adapters, per-entry aging objects) for
-every one of them.  :class:`BatchSystem` advances many runs ("lanes") in a
+Sweeps and the chaos fuzzer execute many *independent* runs — same
+shape, different seeds or case specs.  The interpreted
+:class:`~repro.kernel.system.System` pays per-step dispatch costs (policy
+objects, coroutine adapters, per-entry aging objects) for every one of
+them.  :class:`BatchSystem` advances many runs ("lanes") in a
 single process with struct-of-arrays state and a fused step loop, and is
 **bit-identical** to the interpreted engine: for every supported
 configuration, a lane reproduces exactly the schedule, deliveries,
@@ -15,25 +15,22 @@ Layout
 ------
 Per-process state lives in flat arrays indexed by pid (detector-segment
 cursors, message-queue heads, scheduler fairness counters, decision
-flags) instead of per-process objects; batch-level control vectors (time,
-budget, steps, decisions) are mirrored into numpy arrays when numpy is
-available, with a pure-python fallback otherwise.  The per-step hot state
-stays in Python lists on purpose: bit-identity pins every random draw to
-the exact ``random.Random`` scalar streams the interpreted engine uses
+flags) instead of per-process objects.  The arrays are plain Python
+lists on purpose: bit-identity pins every random draw to the exact
+``random.Random`` scalar streams the interpreted engine uses
 (``{seed}/sched`` and ``{seed}/delivery/{p}``), which vectorized RNGs
-cannot reproduce, and CPython scalar indexing into lists is faster than
-into numpy arrays.  Numpy earns its keep on the control plane: merging
-detector-history breakpoints, retiring lanes, and aggregate statistics.
+cannot reproduce, and CPython scalar indexing into lists beats any
+array library's scalar access.
 
 Capability probe
 ----------------
 :func:`probe_spec` routes each lane: supported configurations take the
-fused fast path, everything else (scripted schedulers, blocking or custom
-delivery policies, deferred/mutable crash patterns, coroutine processes,
-non-piecewise-constant histories, enabled observability) runs on the
-interpreted engine — same results, no speedup.  Fallbacks are counted in
-:attr:`BatchSystem.stats` and, when observability is enabled, in the
-``batch.fallback`` metric.  See ``docs/performance.md`` for the full
+fused fast path, everything else (scripted schedulers, coalescing,
+blocking or custom delivery policies, deferred/mutable crash patterns,
+coroutine processes, non-piecewise-constant histories, enabled
+observability) runs on the interpreted engine — same results, no
+speedup.  Fallbacks are counted in :attr:`BatchSystem.stats` and, when
+observability is enabled, in the ``batch.fallback`` metric.  See ``docs/performance.md`` for the full
 capability matrix.
 
 Bit-identity invariants the fused loop preserves
@@ -93,12 +90,11 @@ from repro.kernel.scheduler import (
 from repro.kernel.system import RunResult, StepRecord, System, all_correct_decided
 from repro import obs as _obs
 
-try:  # pragma: no cover - exercised via use_numpy in both states
-    import numpy as _np
-except ImportError:  # pragma: no cover - the baked toolchain ships numpy
-    _np = None
-
 UNKNOWN = "?"
+
+#: Steps a fast lane advances per wave before the next lane takes over.
+#: Packing never changes a lane's result, only the wave statistics.
+SLICE_TICKS = 96
 
 __all__ = [
     "BatchSystem",
@@ -161,9 +157,6 @@ class LaneSpec:
 
     * ``automaton`` + ``proposals`` — pure-automaton consensus lanes
       (``AutomatonProcess`` per pid), eligible for the fast path;
-    * ``program="dag-builder"`` — A_DAG sampling lanes
-      (:class:`repro.core.sampling.DagBuilder` per pid), eligible for the
-      fast path;
     * ``processes_factory`` — arbitrary processes; always interpreted.
 
     ``scheduler`` / ``delivery`` are serializable spec tuples (see
@@ -182,7 +175,6 @@ class LaneSpec:
     max_steps: int
     automaton: Optional[Automaton] = None
     proposals: Optional[Mapping[int, Any]] = None
-    program: Optional[str] = None
     processes_factory: Optional[Callable[[], Mapping[int, Process]]] = None
     scheduler: Optional[Tuple[Any, ...]] = None
     delivery: Optional[Tuple[Any, ...]] = None
@@ -191,20 +183,12 @@ class LaneSpec:
     extra_steps: int = 0
 
     def __post_init__(self) -> None:
-        sources = sum(
-            1
-            for given in (self.automaton, self.program, self.processes_factory)
-            if given is not None
-        )
-        if sources != 1:
+        if (self.automaton is None) == (self.processes_factory is None):
             raise ValueError(
-                "exactly one of automaton / program / processes_factory "
-                "must be given"
+                "exactly one of automaton / processes_factory must be given"
             )
         if self.automaton is not None and self.proposals is None:
             raise ValueError("automaton lanes need proposals")
-        if self.program is not None and self.program != "dag-builder":
-            raise ValueError(f"unknown lane program {self.program!r}")
         if self.trace not in ("full", "metrics"):
             raise ValueError(f"unknown trace mode {self.trace!r}")
         if self.stop not in (None, "all-correct-decided"):
@@ -227,38 +211,15 @@ def _segment_merge(per_component: List[Tuple[List[int], List[Any]]]):
     """Merge component breakpoint tables into one ``(times, values)`` pair.
 
     Values at merged time ``t`` are the tuple of component values holding
-    at ``t`` — exactly ``PairedHistory.value``.  The gather runs on numpy
-    when available (breakpoint counts are the one place a batch build does
-    O(timeline) work per lane); the bisect fallback is value-identical.
+    at ``t`` — exactly ``PairedHistory.value``.
     """
     if len(per_component) == 1:
         return per_component[0]
-    # Numpy only pays off past a few dozen breakpoints; the typical
-    # detector timeline has a handful, where small-array overhead loses
-    # to bisect.
-    if _np is not None and sum(len(times) for times, _ in per_component) >= 64:
-        merged = _np.unique(
-            _np.concatenate(
-                [_np.asarray(times, dtype=_np.int64) for times, _ in per_component]
-            )
-        )
-        columns = []
-        for times, values in per_component:
-            idx = (
-                _np.searchsorted(
-                    _np.asarray(times, dtype=_np.int64), merged, side="right"
-                )
-                - 1
-            )
-            columns.append([values[i] for i in idx.tolist()])
-        merged_times = merged.tolist()
-    else:
-        merged_times = sorted({t for times, _ in per_component for t in times})
-        columns = []
-        for times, values in per_component:
-            columns.append(
-                [values[bisect_right(times, t) - 1] for t in merged_times]
-            )
+    merged_times = sorted({t for times, _ in per_component for t in times})
+    columns = [
+        [values[bisect_right(times, t) - 1] for t in merged_times]
+        for times, values in per_component
+    ]
     merged_values = [tuple(col[i] for col in columns) for i in range(len(merged_times))]
     return merged_times, merged_values
 
@@ -323,20 +284,11 @@ def _probe(spec: LaneSpec):
         return "processes", None
     if spec.scheduler is not None and spec.scheduler[0] not in _FAST_SCHEDULERS:
         return "scheduler", None
-    if spec.delivery is not None:
-        kind = spec.delivery[0]
-        if kind == "coalescing":
-            if spec.program != "dag-builder":
-                # Coalescing over non-DAG payloads depends on the duck-typed
-                # coalescible predicate per payload; only DAG lanes make it
-                # statically predictable.
-                return "delivery", None
-            if len(spec.delivery) > 1 and (
-                spec.delivery[1][0] not in _FAST_DELIVERIES
-            ):
-                return "delivery", None
-        elif kind not in _FAST_DELIVERIES:
-            return "delivery", None
+    if spec.delivery is not None and spec.delivery[0] not in _FAST_DELIVERIES:
+        # Includes coalescing: what it drops depends on the duck-typed
+        # coalescible predicate of each payload, which only the
+        # interpreted policy evaluates.
+        return "delivery", None
     if spec.automaton is not None and not _supported_automaton(spec.automaton):
         return "automaton", None
     tables = _segment_tables(spec.history, spec.pattern.n)
@@ -372,7 +324,6 @@ def _specialization_for(automaton: Automaton) -> str:
 
 _ENGINE_MR = 0
 _ENGINE_GENERIC = 1
-_ENGINE_DAG = 2
 
 _SCHED_RF = 0
 _SCHED_RR = 1
@@ -400,12 +351,12 @@ class _FastLane:
         "sent", "delivered", "sched_rng", "dest_rngs", "epochs", "epoch_idx",
         "alive", "alive_set", "n_alive", "k_alive", "next_epoch_at",
         "sched_mode", "sched_obj", "max_gap", "sd", "last_sched", "rr_cursor",
-        "deliv_mode", "lambda_prob", "max_age", "coalescing", "pending",
+        "deliv_mode", "lambda_prob", "max_age", "pending",
         "note_counts", "dest_steps", "seqs", "seg_times", "seg_values",
         "seg_idx", "parked", "engine", "states", "transition", "decision_of",
         "lambda_skip", "mr_x", "mr_round", "mr_phase", "mr_opened",
         "mr_decided", "mr_leads", "mr_reps", "mr_props", "mr_segments",
-        "cores", "decisions", "decision_times", "has_decided",
+        "decisions", "decision_times", "has_decided",
         "undecided_correct", "check_stop", "extra_steps", "record_trace",
         "steps", "queried", "correct_set",
     )
@@ -456,10 +407,6 @@ class _FastLane:
         self.sd[1] = self.max_gap + 1
         # Delivery dispatch.
         dspec = spec.delivery
-        self.coalescing = False
-        if dspec is not None and dspec[0] == "coalescing":
-            self.coalescing = True
-            dspec = dspec[1] if len(dspec) > 1 else None
         if dspec is None:
             self.deliv_mode = _DELIV_FAIR
             self.lambda_prob = 0.25
@@ -502,7 +449,6 @@ class _FastLane:
             {p: [] for p in range(n)} if self.record_trace else {}
         )
         self.states: List[Any] = []
-        self.cores: List[Any] = []
         self.transition = None
         self.decision_of = None
         self.lambda_skip = False
@@ -515,12 +461,7 @@ class _FastLane:
         self.mr_reps: List[Dict[int, Dict[int, Any]]] = []
         self.mr_props: List[Dict[int, Dict[int, Any]]] = []
         self.mr_segments: List[List[tuple]] = []
-        if spec.program == "dag-builder":
-            from repro.core.dag import DagCore
-
-            self.engine = _ENGINE_DAG
-            self.cores = [DagCore(p, n) for p in range(n)]
-        elif _specialization_for(spec.automaton) == "mr-quorum":
+        if _specialization_for(spec.automaton) == "mr-quorum":
             self.engine = _ENGINE_MR
             proposals = spec.proposals
             self.mr_x = [proposals[p] for p in range(n)]
@@ -566,14 +507,7 @@ class _FastLane:
     # -- results --------------------------------------------------------
 
     def result(self) -> RunResult:
-        spec = self.spec
         n = self.n
-        if spec.program == "dag-builder":
-            outputs: Dict[int, List[Tuple[int, Any]]] = {p: [] for p in range(n)}
-            initial: Dict[int, Any] = {p: None for p in range(n)}
-        else:
-            outputs = {p: [] for p in range(n)}
-            initial = {p: None for p in range(n)}
         # The interpreted engine assembles these dicts by iterating its
         # pid-keyed contexts, so insertion order is ascending pid — not
         # decision order.  Downstream consumers iterate the dicts (e.g.
@@ -585,12 +519,12 @@ class _FastLane:
         }
         return RunResult(
             n=n,
-            pattern=spec.pattern,
+            pattern=self.spec.pattern,
             steps=self.steps,
             decisions=decisions,
             decision_times=decision_times,
-            outputs=outputs,
-            initial_outputs=initial,
+            outputs={p: [] for p in range(n)},
+            initial_outputs={p: None for p in range(n)},
             queried=self.queried,
             stop_reason=self.reason or "manual",
             final_time=self.time,
@@ -618,22 +552,16 @@ class _FallbackLane:
         self.index = index
         self.spec = spec
         self.reason = reason
-        self.processes: Optional[Mapping[int, Process]] = None
 
     def run(self) -> RunResult:
         spec = self.spec
         if spec.processes_factory is not None:
             processes = dict(spec.processes_factory())
-        elif spec.program == "dag-builder":
-            from repro.core.sampling import DagBuilder
-
-            processes = {p: DagBuilder() for p in range(spec.pattern.n)}
         else:
             processes = {
                 p: AutomatonProcess(spec.automaton, spec.proposals[p])
                 for p in range(spec.pattern.n)
             }
-        self.processes = processes
         system = System(
             processes,
             spec.pattern,
@@ -652,11 +580,6 @@ class _FallbackLane:
             extra_steps=spec.extra_steps,
         )
 
-    def extras(self) -> Dict[int, Any]:
-        if self.spec.program == "dag-builder" and self.processes is not None:
-            return {p: proc.core for p, proc in self.processes.items()}
-        return {}
-
 
 class BatchSystem:
     """Advance many independent runs in one process, bit-identically.
@@ -666,24 +589,9 @@ class BatchSystem:
     ``System.run()`` yields from the same configuration and seed.  Lanes
     the capability probe rejects execute on the interpreted engine
     (``stats["fallback_reasons"]`` says why).
-
-    ``use_numpy`` forces the control plane on (requires numpy) or off;
-    ``None`` auto-detects.  Numpy never changes results — it only
-    accelerates history merging, retirement scans and statistics.
     """
 
-    def __init__(
-        self,
-        specs: Sequence[LaneSpec],
-        use_numpy: Optional[bool] = None,
-        slice_ticks: int = 96,
-    ):
-        if use_numpy is None:
-            use_numpy = _np is not None
-        elif use_numpy and _np is None:
-            raise ValueError("use_numpy=True but numpy is unavailable")
-        self.use_numpy = use_numpy
-        self.slice_ticks = slice_ticks
+    def __init__(self, specs: Sequence[LaneSpec]):
         self.specs = list(specs)
         self.lanes: List[Any] = []
         reasons: Dict[str, int] = {}
@@ -726,34 +634,6 @@ class BatchSystem:
             for l in self.lanes
         ]
 
-    def extras(self, index: int) -> Dict[int, Any]:
-        """Per-process engine extras of lane ``index`` (DAG lanes: cores)."""
-        lane = self.lanes[index]
-        if isinstance(lane, _FallbackLane):
-            return lane.extras()
-        if lane.engine == _ENGINE_DAG:
-            return {p: core for p, core in enumerate(lane.cores)}
-        return {}
-
-    def control_vectors(self) -> Dict[str, Any]:
-        """Batch-level control vectors (numpy arrays when enabled).
-
-        ``time``/``steps`` per lane plus the per-lane decided-process
-        counts — the decision vector the sweeps aggregate over.
-        """
-        times = [
-            (r.final_time if r is not None else 0) for r in self._results
-        ]
-        decided = [
-            (len(r.decisions) if r is not None else 0) for r in self._results
-        ]
-        if self.use_numpy:
-            return {
-                "time": _np.asarray(times, dtype=_np.int64),
-                "decided": _np.asarray(decided, dtype=_np.int64),
-            }
-        return {"time": times, "decided": decided}
-
     # -- execution -------------------------------------------------------
 
     def run(self) -> List[RunResult]:
@@ -788,7 +668,6 @@ class BatchSystem:
                     self.stats["steps"] += result.total_steps
                 else:
                     fast.append(lane)
-            slice_ticks = self.slice_ticks
             occupancy: List[int] = self.stats["wave_occupancy"]
             retired: List[int] = self.stats["wave_retired"]
             active = fast
@@ -796,7 +675,7 @@ class BatchSystem:
                 occupancy.append(len(active))
                 still: List[_FastLane] = []
                 for lane in active:
-                    _advance(lane, slice_ticks)
+                    _advance(lane, SLICE_TICKS)
                     if lane.reason is None:
                         still.append(lane)
                     else:
@@ -840,7 +719,6 @@ def _advance(lane: _FastLane, ticks: int) -> None:
     engine = lane.engine
     sched_mode = lane.sched_mode
     deliv_mode = lane.deliv_mode
-    coalescing = lane.coalescing
     n = lane.n
     alive = lane.alive
     n_alive = lane.n_alive
@@ -961,23 +839,6 @@ def _advance(lane: _FastLane, ticks: int) -> None:
         nc = note_counts[pid] + 1
         note_counts[pid] = nc
         entries = pending[pid]
-        if coalescing and entries:
-            # CoalescingDelivery: drop, per sender, every DAG payload
-            # older than the sender's newest one (probe guarantees all
-            # payloads in this lane are DAGs).
-            newest: Dict[int, int] = {}
-            for e in entries:
-                s = e[0]
-                q = e[3]
-                if q > newest.get(s, -1):
-                    newest[s] = q
-            i = 0
-            while i < len(entries):
-                e = entries[i]
-                if e[3] < newest.get(e[0], -1):
-                    del entries[i]
-                else:
-                    i += 1
         message = None
         if entries:
             if deliv_mode == _DELIV_FAIR:
@@ -1156,7 +1017,7 @@ def _advance(lane: _FastLane, ticks: int) -> None:
             mr_phase[pid] = phase
             mr_opened[pid] = opened
             parked[pid] = si
-        elif engine == _ENGINE_GENERIC:
+        else:  # _ENGINE_GENERIC
             d_raw = seg_values[pid][si]
             if message is None and lane.lambda_skip and parked[pid] == si:
                 if record_trace:
@@ -1194,14 +1055,6 @@ def _advance(lane: _FastLane, ticks: int) -> None:
                 my_sends = outcome.sends
             if lane.lambda_skip:
                 parked[pid] = si
-        else:  # _ENGINE_DAG
-            d_raw = seg_values[pid][si]
-            core = lane.cores[pid]
-            if message is not None:
-                core.absorb(message[1])
-            core.sample(d_raw, t)
-            dag = core.dag
-            my_sends = [(dest, dag) for dest in range(n)]
 
         # ---- enqueue sends / trace ------------------------------------
         if record_trace:
@@ -1246,23 +1099,13 @@ def _advance(lane: _FastLane, ticks: int) -> None:
                 )
             )
         elif my_sends is not None:
-            # Metrics mode: delivery only reads entry[0..2]; the seq slot is
-            # needed solely by coalescing lanes, so plain lanes enqueue
-            # 3-tuples with no per-message arithmetic.
+            # Metrics mode: delivery only reads entry[0..2], so lanes
+            # enqueue 3-tuples with no per-message seq arithmetic.
             if engine == _ENGINE_MR:
                 for payload in my_sends:
                     for dest in range(n):
                         pending[dest].append((pid, payload, note_counts[dest]))
                     sent += n
-            elif coalescing:
-                seq = seqs[pid]
-                for dest, payload in my_sends:
-                    pending[dest].append(
-                        (pid, payload, note_counts[dest], seq)
-                    )
-                    seq += 1
-                    sent += 1
-                seqs[pid] = seq
             else:
                 for dest, payload in my_sends:
                     pending[dest].append((pid, payload, note_counts[dest]))

@@ -6,11 +6,13 @@ same configuration and seed — the full step stream (schedule, delivered
 messages, detector values, sends), the decisions with their times, the
 query log and every counter.  These tests enforce that contract over
 hand-picked corner configurations, the chaos fuzzer's own case space
-(via hypothesis), both control-plane implementations (numpy and pure
-python), and the fallback tier.
+(via hypothesis), and the fallback tier.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -19,7 +21,6 @@ from repro import obs
 from repro.consensus.chandra_toueg import ChandraTouegS
 from repro.consensus.mostefaoui_raynal import MostefaouiRaynal
 from repro.consensus.quorum_mr import QuorumMR
-from repro.core.dag import SampleDAG
 from repro.detectors import EventuallyPerfect, Omega, PairedDetector, Sigma
 from repro.detectors.base import FunctionalHistory, sample_history_cached
 from repro.kernel.automaton import AutomatonProcess
@@ -44,15 +45,10 @@ SETTINGS = settings(
 
 def serial_reference(spec):
     """Run ``spec`` on the interpreted engine — the oracle's ground truth."""
-    if spec.program == "dag-builder":
-        from repro.core.sampling import DagBuilder
-
-        processes = {p: DagBuilder() for p in range(spec.pattern.n)}
-    else:
-        processes = {
-            p: AutomatonProcess(spec.automaton, spec.proposals[p])
-            for p in range(spec.pattern.n)
-        }
+    processes = {
+        p: AutomatonProcess(spec.automaton, spec.proposals[p])
+        for p in range(spec.pattern.n)
+    }
     system = System(
         processes,
         spec.pattern,
@@ -68,21 +64,10 @@ def serial_reference(spec):
     )
 
 
-def canon_payload(payload):
-    # SampleDAG has no structural __eq__ (two runs build distinct objects);
-    # canonicalize to the sorted node set so DAG payload equality is
-    # content equality.
-    if isinstance(payload, SampleDAG):
-        return tuple(
-            sorted((s.pid, s.k, repr(s.d), s.frontier, s.t) for s in payload.nodes())
-        )
-    return payload
-
-
 def canon_message(m):
     if m is None:
         return None
-    return (m.sender, m.dest, canon_payload(m.payload), m.uid, m.sent_at)
+    return (m.sender, m.dest, m.payload, m.uid, m.sent_at)
 
 
 def canon_steps(steps):
@@ -162,11 +147,6 @@ def corner_specs():
             LaneSpec(PATTERN_CRASH, om, seed, 600,
                      automaton=MostefaouiRaynal(), proposals=PROPS,
                      trace="full", stop="all-correct-decided"),
-            # DAG sampling lanes, with and without coalescing.
-            LaneSpec(PATTERN_CRASH, hc, seed, 300, program="dag-builder",
-                     delivery=("coalescing",), trace="full"),
-            LaneSpec(PATTERN, h, seed, 200, program="dag-builder",
-                     trace="full"),
         ]
     return specs
 
@@ -179,15 +159,6 @@ class TestCornerMatrix:
         results = batch.run()
         for spec, got in zip(specs, results):
             assert_identical(serial_reference(spec), got)
-
-    def test_pure_python_control_plane_matches_numpy(self):
-        specs = corner_specs()[:6]
-        with_np = BatchSystem(specs).run()
-        without = BatchSystem(specs, use_numpy=False).run()
-        for a, b in zip(with_np, without):
-            assert canon_steps(a.steps) == canon_steps(b.steps)
-            assert a.decisions == b.decisions
-            assert a.queried == b.queried
 
     def test_zero_budget_and_empty_correct_set_corners(self):
         h = paired_history(PATTERN, 0)
@@ -202,15 +173,16 @@ class TestCornerMatrix:
             got = BatchSystem([spec]).run()[0]
             assert_identical(serial_reference(spec), got)
 
-    def test_lanes_retire_independently(self):
+    def test_lanes_retire_independently(self, monkeypatch):
         # Different budgets per lane: early lanes must not perturb the
         # long one and results come back in spec order.
+        monkeypatch.setattr("repro.kernel.batch.SLICE_TICKS", 32)
         specs = [
             LaneSpec(PATTERN, paired_history(PATTERN, s), s, steps,
                      automaton=QuorumMR(), proposals=PROPS, trace="full")
             for s, steps in ((0, 50), (1, 700), (2, 120))
         ]
-        results = BatchSystem(specs, slice_ticks=32).run()
+        results = BatchSystem(specs).run()
         for spec, got in zip(specs, results):
             assert_identical(serial_reference(spec), got)
 
@@ -259,7 +231,9 @@ class TestHypothesisOracle:
                      automaton=QuorumMR(), proposals=PROPS, trace="full")
             for s in seeds
         ]
-        packed = BatchSystem(specs, slice_ticks=17).run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("repro.kernel.batch.SLICE_TICKS", 17)
+            packed = BatchSystem(specs).run()
         for spec, got in zip(specs, packed):
             alone = BatchSystem([spec]).run()[0]
             assert canon_steps(alone.steps) == canon_steps(got.steps)
@@ -291,6 +265,13 @@ class TestCapabilityProbeAndFallback:
         batch = BatchSystem([spec])
         assert batch.lane_modes() == ["fallback:scheduler"]
         assert batch.stats["fallback_reasons"] == {"scheduler": 1}
+        assert_identical(serial_reference(spec), batch.run()[0])
+
+    def test_coalescing_delivery_falls_back_and_matches(self):
+        spec = self._spec(delivery=("coalescing", ("fair-random", 0.3, 40)))
+        assert probe_spec(spec) == "delivery"
+        batch = BatchSystem([spec])
+        assert batch.lane_modes() == ["fallback:delivery"]
         assert_identical(serial_reference(spec), batch.run()[0])
 
     def test_deferred_crash_pattern_falls_back(self):
@@ -370,7 +351,7 @@ class TestCapabilityProbeAndFallback:
         with pytest.raises(ValueError, match="trace"):
             self._spec(trace="everything")
 
-    def test_stats_and_control_vectors(self):
+    def test_stats_count_lanes_and_steps(self):
         fast = self._spec()
         slow = self._spec(
             scheduler=("scripted", (0, 1), ("random-fair", 64))
@@ -381,9 +362,6 @@ class TestCapabilityProbeAndFallback:
         assert batch.stats["fallback"] == 1
         results = batch.run()
         assert batch.stats["steps"] == sum(r.total_steps for r in results)
-        vectors = batch.control_vectors()
-        assert list(vectors["time"]) == [r.final_time for r in results]
-        assert list(vectors["decided"]) == [len(r.decisions) for r in results]
 
 
 class TestWaveStats:
@@ -440,3 +418,28 @@ class TestWaveStats:
         ]
         assert [e["attrs"]["lane"] for e in events] == list(range(len(specs)))
         assert {e["attrs"]["reason"] for e in events} == {"obs-enabled"}
+
+
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import repro.harness.load, repro.chaos.matrix, repro.harness.experiments
+loaded = {name.split(".")[0] for name in set(sys.modules) - before}
+# multiprocessing registers __mp_main__ as an alias of __main__.
+print(sorted(loaded - set(sys.stdlib_module_names) - {"repro", "__mp_main__"}))
+"""
+
+
+def test_entry_points_import_only_the_standard_library():
+    """The load, chaos-matrix and experiment entry points reach the batched
+    kernel through ``repro.harness``; none of them may pull in a
+    third-party package (each one costs every run its import time)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
