@@ -39,7 +39,10 @@ check falls back to ``--baseline`` with a notice.
 instead: cross-batch applied digests must agree, every row must commit
 everything it submitted, and batch-16 commands-per-kernel-step must be at
 least ``--service-speedup`` (default 3) times batch-1 on the same seeded
-burst workload — all logical numbers, bit-stable across hosts.
+burst workload.  Against the committed baseline, every batch row and
+``closed_loop`` must reproduce its ``applied_digest``, ``kernel_steps``,
+``ticks`` and ``committed`` exactly — all logical numbers, bit-stable
+across hosts.
 
 ``--chaos`` switches to the *semantic* regression gate instead: it runs the
 quick chaos injection-matrix rows (see ``repro.chaos.matrix``) and fails if
@@ -176,12 +179,40 @@ def check_service(report_path: str, min_speedup: float,
             )
             if drop > threshold:
                 failures.append(f"batch{row['batch_size']}-throughput")
+        failures.extend(check_service_exact(report, baseline))
     if failures:
         print("service bench regressed in: " + ", ".join(failures),
               file=sys.stderr)
         return 1
-    print("service bench healthy: batching pays, digests agree, no drops")
+    print("service bench healthy: batching pays, digests agree, no drops, "
+          "rows match the baseline")
     return 0
+
+
+#: Logical row fields that must equal the committed baseline exactly.
+SERVICE_EXACT = ("applied_digest", "kernel_steps", "ticks", "committed")
+
+
+def check_service_exact(report: dict, baseline: dict) -> list:
+    """Each baseline row (the batch rows and ``closed_loop``) must be
+    reproduced exactly in :data:`SERVICE_EXACT`; returns failure tags."""
+    if report.get("workload") != baseline.get("workload"):
+        print("service[workload]: differs from the baseline's [FAIL]")
+        return ["workload"]
+    rows = {f"batch {r['batch_size']}": r for r in report.get("batches", [])}
+    rows["closed_loop"] = report.get("closed_loop") or {}
+    base_rows = {f"batch {r['batch_size']}": r for r in baseline.get("batches", [])}
+    if baseline.get("closed_loop"):
+        base_rows["closed_loop"] = baseline["closed_loop"]
+    failures = []
+    for name, base in base_rows.items():
+        row = rows.get(name, {})
+        drift = [k for k in SERVICE_EXACT if row.get(k) != base.get(k)]
+        verdict = "differ in " + ", ".join(drift) if drift else "match"
+        print(f"service[{name}]: logical fields {verdict} [{'FAIL' if drift else 'ok'}]")
+        if drift:
+            failures.append(f"{name.replace(' ', '')}-drift")
+    return failures
 
 
 def check_lint(report_path: str, min_speedup: float) -> int:
@@ -276,9 +307,10 @@ def main(argv=None) -> int:
         metavar="BENCH_SERVICE_JSON",
         help="gate a bench_service.py report instead: batch-16 throughput "
         "must be at least --service-speedup times batch-1 on the same "
-        "workload, applied digests must match across batch sizes, and "
+        "workload, applied digests must match across batch sizes, "
         "per-row commands/kstep must not drop more than --threshold "
-        "percent below the committed BENCH_service.json",
+        "percent below the committed BENCH_service.json, and each row's "
+        "applied digest, kernel steps, ticks and commits must equal it",
     )
     parser.add_argument(
         "--service-speedup",

@@ -13,6 +13,13 @@ two views of progress:
   longest prefix on which a majority of replica logs agree; the
   client-exposable (uniform-safe) part.
 
+Certification is incremental.  Replica logs are append-only, so once a
+majority of them hold the same value at a slot that value is the slot's
+certified entry for good: the certified prefix only grows, and the core
+keeps it as a *frontier* that each read extends from where the last one
+stopped.  :func:`repro.smr.properties.certified_log` computes the same
+prefix from slot 0 and stays the checker and the test oracle.
+
 The core is deliberately detector-skeptical: certification counts actual
 log matches, never detector output, so a lying injector (``SplitQuorums``,
 ``CrashedLeaderOmega``) can stall progress or mislead routing but cannot
@@ -26,7 +33,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.kernel.failures import FailurePattern
 from repro.kernel.system import System
-from repro.smr.properties import certified_log, certified_prefix_length
 from repro.smr.replicated_log import Command, ReplicatedLogProcess
 
 
@@ -62,7 +68,11 @@ class ServiceCore:
         self._history_fn = (
             self.history.value if hasattr(self.history, "value") else self.history
         )
-        self._fed_at: Dict[Command, int] = {}  # batch -> replica last fed
+        self._fed_at: Dict[Command, int] = {}  # in-flight batch -> replica last fed
+        self._certified: List[Optional[Command]] = []  # the certified frontier
+        #: Slots certification has examined, the failing frontier slot of
+        #: each read included; a work counter kept out of ``stats``.
+        self.certify_visits = 0
 
     # ------------------------------------------------------------------
 
@@ -124,6 +134,10 @@ class ServiceCore:
                 moved += 1
         return moved
 
+    def settle(self, batch: Command) -> None:
+        """Forget the routing of ``batch``, now certified."""
+        self._fed_at.pop(batch, None)
+
     def step(self, budget: int) -> int:
         """Advance the kernel up to ``budget`` steps; returns steps taken."""
         taken = 0
@@ -146,6 +160,27 @@ class ServiceCore:
         best = max(self.replicas.values(), key=lambda r: len(r.log))
         return list(best.log)
 
+    def _advance_certified(self) -> List[Optional[Command]]:
+        """Extend the certified frontier as far as the logs now allow."""
+        logs = [r.log for r in self.replicas.values()]
+        prefix = self._certified
+        quorum = self.quorum
+        while True:
+            slot = len(prefix)
+            self.certify_visits += 1
+            votes: Dict[Command, int] = {}
+            for log in logs:
+                # A ``None`` entry never certifies, as in the oracle.
+                if len(log) > slot and log[slot] is not None:
+                    entry = log[slot]
+                    count = votes.get(entry, 0) + 1
+                    if count >= quorum:  # a majority: the slot's only winner
+                        prefix.append(entry)
+                        break
+                    votes[entry] = count
+            else:
+                return prefix
+
     def certified_log(self) -> List[Optional[Command]]:
         """Per-slot quorum-majority entries of the certified prefix.
 
@@ -154,15 +189,16 @@ class ServiceCore:
         can reach it.  This is the only log the service may apply from
         or expose to clients.
         """
-        return certified_log(
-            {p: r.log for p, r in self.replicas.items()}, self.quorum
-        )
+        return list(self._advance_certified())
 
     def certified_length(self) -> int:
         """Slots certified by a majority of matching replica logs."""
-        return certified_prefix_length(
-            {p: r.log for p, r in self.replicas.items()}, self.quorum
-        )
+        return len(self._advance_certified())
+
+    def certified_entries(self, start: int) -> List[Optional[Command]]:
+        """Certified entries from slot ``start`` up to the frontier the
+        last :meth:`certified_length` or :meth:`certified_log` reached."""
+        return self._certified[start:]
 
     def logs(self) -> Dict[int, List[Optional[Command]]]:
         return {p: list(r.log) for p, r in self.replicas.items()}

@@ -307,10 +307,10 @@ class ConsensusService:
         # Apply from the per-slot quorum-majority log, never from any
         # single replica: the longest local log may be a faulty replica's
         # and hold a divergent value inside the certified range.
-        log = self.core.certified_log()
-        certified = len(log)
+        certified = self.core.certified_length()
         if certified <= self._applied_slots:
             return
+        fresh = self.core.certified_entries(self._applied_slots)
         if obs._ENABLED:
             span_cm = obs.tracer().span(
                 "service.apply", tick=tick, from_slot=self._applied_slots
@@ -319,14 +319,13 @@ class ConsensusService:
             span_cm = None
         applied = 0
         with span_cm if span_cm is not None else _NULL_CM:
-            while self._applied_slots < certified:
-                slot = self._applied_slots
-                entry = log[slot]
-                self._applied_slots += 1
+            for slot, entry in enumerate(fresh, start=self._applied_slots):
+                self._applied_slots = slot + 1
                 if entry is None or entry[0] != "batch":
                     continue
                 _, _origin, bseq, commands = entry
                 self._inflight.pop(bseq, None)
+                self.core.settle(entry)
                 if obs._ENABLED:
                     obs.tracer().event(
                         "service.decide", tick=tick, slot=slot, seq=bseq

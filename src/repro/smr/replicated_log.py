@@ -94,24 +94,46 @@ class ReplicatedLogProcess(Process):
         self._foreign_batches: List[Command] = []
         self._foreign_plain: List[Command] = []
         self._forwarded: set = set()  # (command, leader) pairs already sent
+        # Eligibility index over the append-only log: the entries of
+        # ``log[:_indexed]`` and their per-origin batch counts.  Fed from a
+        # cursor over ``self.log`` (not from ``program``), so entries
+        # appended by any writer are folded in on the next read.
+        self._chosen: set = set()
+        self._batch_counts: Dict[Any, int] = {}
+        self._indexed = 0
+
+    def _logged(self) -> set:
+        """The set of entries in the local log, brought up to date."""
+        log = self.log
+        if self._indexed < len(log):
+            chosen, counts = self._chosen, self._batch_counts
+            for entry in log[self._indexed:]:
+                chosen.add(entry)
+                if is_batch(entry):
+                    counts[entry[1]] = counts.get(entry[1], 0) + 1
+            self._indexed = len(log)
+        return self._chosen
+
+    def _known(self, command: Command) -> bool:
+        return (
+            command in self.commands
+            or command in self._foreign_batches
+            or command in self._foreign_plain
+            or command in self._logged()
+        )
 
     # -- dynamic command intake (the service feeds a running replica) ----
 
     def feed(self, command: Command) -> bool:
         """Queue ``command`` for proposal; ``False`` if already known."""
-        if (
-            command in self.commands
-            or command in self._foreign_batches
-            or command in self._foreign_plain
-            or command in self.log
-        ):
+        if self._known(command):
             return False
         self.commands.append(command)
         return True
 
     def pending_commands(self) -> List[Command]:
         """Commands known here but not yet in the local log."""
-        logged = set(self.log)
+        logged = self._logged()
         pools = (self.commands, self._foreign_batches, self._foreign_plain)
         return [c for pool in pools for c in pool if c not in logged]
 
@@ -199,11 +221,8 @@ class ReplicatedLogProcess(Process):
     # ------------------------------------------------------------------
 
     def _next_proposal(self) -> Command:
-        chosen = set(self.log)
-        batch_counts: Dict[Any, int] = {}
-        for entry in self.log:
-            if is_batch(entry):
-                batch_counts[entry[1]] = batch_counts.get(entry[1], 0) + 1
+        chosen = self._logged()
+        batch_counts = self._batch_counts
 
         def eligible(command: Command) -> bool:
             if command in chosen:
@@ -242,7 +261,7 @@ class ReplicatedLogProcess(Process):
         leader = self._leader_hint(d)
         if leader is None or leader == ctx.pid:
             return
-        logged = set(self.log)
+        logged = self._logged()
         for command in self.commands:
             if command in logged:
                 continue
@@ -253,12 +272,7 @@ class ReplicatedLogProcess(Process):
             self._forwarded.add(key)
 
     def _accept_foreign(self, command: Command) -> None:
-        if (
-            command in self.commands
-            or command in self._foreign_batches
-            or command in self._foreign_plain
-            or command in self.log
-        ):
+        if self._known(command):
             return
         if is_batch(command):
             self._foreign_batches.append(command)

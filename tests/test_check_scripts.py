@@ -136,6 +136,34 @@ class TestCheckRegressionService:
         assert proc.returncode == 1
         assert "incomplete" in proc.stderr
 
+    def test_logical_drift_from_baseline_fails(self, tmp_path):
+        with open(os.path.join(REPO_ROOT, "BENCH_service.json")) as fh:
+            report = json.load(fh)
+        # Same digest everywhere (the cross-batch check still passes) and
+        # throughput within threshold, but not the committed row.
+        for row in report["batches"] + [report["closed_loop"]]:
+            row["applied_digest"] = "0" * 64
+        report["closed_loop"]["kernel_steps"] += 1
+        report["batches"][2]["ticks"] += 1
+        drifted = tmp_path / "drifted.json"
+        drifted.write_text(json.dumps(report))
+        proc = run_script("check_regression.py", "--service", str(drifted))
+        assert proc.returncode == 1
+        assert "batch1-drift" in proc.stderr
+        assert "closed_loop-drift" in proc.stderr
+        assert "kernel_steps" in proc.stdout
+        assert "ticks" in proc.stdout
+
+    def test_other_workload_than_baseline_fails(self, tmp_path):
+        with open(os.path.join(REPO_ROOT, "BENCH_service.json")) as fh:
+            report = json.load(fh)
+        report["workload"]["commands"] += 1
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(report))
+        proc = run_script("check_regression.py", "--service", str(other))
+        assert proc.returncode == 1
+        assert "workload" in proc.stderr
+
 
 class TestCheckTraceSchema:
     def test_help(self):
